@@ -90,9 +90,6 @@ impl RegMap {
     }
 }
 
-/// Sentinel in [`Slot::src_seqs`]: no (remaining) dependency.
-const NO_DEP: u64 = u64::MAX;
-
 #[derive(Debug, Clone, Copy)]
 struct Slot {
     inst: Inst,
@@ -105,19 +102,13 @@ struct Slot {
     mem_retry_at: u64,
     mispredicted: bool,
     resolved: bool,
-    /// Producer sequence numbers of the source registers, resolved once
-    /// at dispatch (register renaming). Sequence numbers are dense
-    /// window indices (`seq - head_seq`), so the per-cycle wake-up check
-    /// is flat array indexing with no hash lookups; entries flip to
-    /// [`NO_DEP`] as producers complete so satisfied dependencies are
-    /// never re-checked.
-    src_seqs: [u64; 3],
-    /// Lower bound on the next cycle this (unissued) slot could issue.
-    /// Derived only from immutable facts — an issued producer's
-    /// `done_at` never changes and an instruction never completes the
-    /// cycle it issues — so skipping the slot while `now < wake_at`
-    /// cannot change any issue cycle.
-    wake_at: u64,
+    /// Source producers that have not issued yet. Each one is on its
+    /// producer's consumer list and decrements this when it issues; at
+    /// zero the slot joins the issue candidates.
+    pending: u32,
+    /// Cycle at which every issued producer's result exists (the
+    /// maximum of their `done_at`); exact once `pending` is zero.
+    ready_at: u64,
 }
 
 impl Slot {
@@ -131,8 +122,8 @@ impl Slot {
             mem_retry_at: 0,
             mispredicted: false,
             resolved: false,
-            src_seqs: [NO_DEP; 3],
-            wake_at: 0,
+            pending: 0,
+            ready_at: 0,
         }
     }
 }
@@ -212,15 +203,25 @@ pub struct Pipeline {
     /// an unissued branch cannot resolve, and issuing one lowers the
     /// bound). The per-cycle resolution scan is skipped until then.
     resolve_check_at: u64,
-    /// Sequence numbers of the unissued window slots, in program order:
-    /// the issue scan walks only these instead of the whole window.
-    unissued_seqs: Vec<u64>,
-    /// Lower bound on the next cycle any unissued slot could issue (the
-    /// minimum of their [`Slot::wake_at`] bounds as of the last scan).
-    /// While `now < issue_scan_at` the per-cycle issue scan is skipped
-    /// entirely: during a long memory stall the window is full of
-    /// instructions waiting on an in-flight load's immutable `done_at`,
-    /// and walking them every cycle dominated the simulation profile.
+    /// Unissued window slots: the watchdog diagnostic, and where
+    /// in-order issue starts (the youngest `unissued` slots).
+    unissued: usize,
+    /// Per-slot issue state is kept in rings indexed by
+    /// `seq & ring_mask`. At most `window` consecutive sequence numbers
+    /// are in flight and the ring holds at least that many, so two live
+    /// slots never share an entry.
+    ring_mask: u64,
+    /// Consumer lists: the slots waiting on each unissued producer. A
+    /// list is drained when its producer issues, and its buffer is
+    /// reused by later producers.
+    consumers: Vec<Vec<u64>>,
+    /// Candidate bitmask: unissued slots whose producers have all
+    /// issued — the only slots the issue stage examines.
+    candidates: Vec<u64>,
+    /// Lower bound on the next cycle any candidate could issue (the
+    /// minimum of their `ready_at`/`mem_retry_at` bounds as of the last
+    /// scan; `u64::MAX` with no candidates). While `now < issue_scan_at`
+    /// the issue stage does nothing, and `idle_skip` may jump over it.
     issue_scan_at: u64,
     /// Completion times of loads occupying memory-queue slots.
     inflight_loads: Vec<u64>,
@@ -253,6 +254,8 @@ impl Pipeline {
         let pred = AgreePredictor::new(cfg.predictor_entries);
         let ras = ReturnAddressStack::new(cfg.ras_entries);
         let stats = CpuStats::new(cfg.issue_width);
+        // A whole number of candidate words, and room for every slot.
+        let ring = (cfg.window as usize).next_power_of_two().max(64);
         Pipeline {
             fetch_cap: (cfg.window as usize * 2).max(64),
             fus,
@@ -267,8 +270,11 @@ impl Pipeline {
             unresolved_branches: 0,
             unresolved_seqs: Vec::new(),
             resolve_check_at: u64::MAX,
-            unissued_seqs: Vec::new(),
-            issue_scan_at: 0,
+            unissued: 0,
+            ring_mask: ring as u64 - 1,
+            consumers: vec![Vec::new(); ring],
+            candidates: vec![0; ring / 64],
+            issue_scan_at: u64::MAX,
             inflight_loads: Vec::new(),
             inflight_min: u64::MAX,
             store_buffer: VecDeque::new(),
@@ -437,7 +443,7 @@ impl Pipeline {
             self.fetch_q.len(),
             self.store_buffer.len(),
             self.inflight_loads.len(),
-            self.unissued_seqs.len(),
+            self.unissued,
             self.fetch_resume_at,
             self.unresolved_branches,
             self.issue_blocked_until
@@ -492,16 +498,14 @@ impl Pipeline {
             None => StallClass::FuStall,
         };
         // Issue.
-        if !self.unissued_seqs.is_empty() {
-            let mut eligible_at = self.issue_scan_at;
-            if self.cfg.blocking_loads {
-                eligible_at = eligible_at.max(self.issue_blocked_until);
-            }
-            if eligible_at <= now {
-                return;
-            }
-            next = next.min(eligible_at);
+        let mut eligible_at = self.issue_scan_at;
+        if self.cfg.blocking_loads {
+            eligible_at = eligible_at.max(self.issue_blocked_until);
         }
+        if eligible_at <= now {
+            return;
+        }
+        next = next.min(eligible_at);
         // Dispatch.
         if !self.fetch_q.is_empty() && self.window.len() < self.cfg.window as usize {
             if self.fetch_resume_at > now {
@@ -715,158 +719,151 @@ impl Pipeline {
         (retired, None)
     }
 
-    /// True when every producer in the slot's dispatch-time renamed
-    /// dependency list has completed, plus a lower bound on the cycle
-    /// the sources can all be ready (meaningful only when not ready):
-    /// an issued producer completes exactly at its immutable `done_at`,
-    /// an unissued one no earlier than next cycle. Satisfied entries
-    /// flip to [`NO_DEP`] in place, so a dependency is checked at most
-    /// once after it completes — no hash lookups on this per-cycle path
-    /// (the `produced` map is only consulted once per instruction, at
-    /// dispatch).
-    fn sources_ready_at(&mut self, i: usize) -> (bool, u64) {
-        let mut deps = self.window[i].src_seqs;
-        let mut ready = true;
-        let mut bound = 0u64;
-        for d in deps.iter_mut() {
-            if *d == NO_DEP {
-                continue;
-            }
-            if *d < self.head_seq {
-                *d = NO_DEP; // producer retired
-                continue;
-            }
-            let p = &self.window[(*d - self.head_seq) as usize];
-            if p.issued && p.done_at <= self.now {
-                *d = NO_DEP;
-            } else {
-                ready = false;
-                // An issued producer completes exactly at its immutable
-                // `done_at`; an unissued one cannot issue before its own
-                // `wake_at` (a sound lower bound, inductively), so its
-                // value exists no earlier than that — this propagates
-                // wake-up bounds down dependence chains, letting a whole
-                // chain behind a cache miss sleep until the fill.
-                bound = bound.max(if p.issued {
-                    p.done_at
-                } else {
-                    p.wake_at.max(self.now + 1)
-                });
-            }
-        }
-        self.window[i].src_seqs = deps;
-        (ready, bound)
-    }
-
-    /// Issue ready instructions (program-order scan; the in-order policy
-    /// stops at the first unissued instruction that cannot go).
+    /// Issue ready candidates in program order (the in-order policy
+    /// stops at the first one that cannot go).
     ///
-    /// Every blocked slot records a `wake_at` lower bound and the scan
-    /// itself is gated on `issue_scan_at` (the minimum of those bounds):
-    /// both derive only from immutable completion times and
-    /// next-cycle-at-the-earliest conservatism, so the cycle at which
-    /// each instruction actually issues — and every observable statistic
-    /// — is identical to the exhaustive per-cycle scan.
+    /// Only candidates — unissued slots whose producers have all issued
+    /// — are examined; a slot still waiting on an unissued producer
+    /// cannot issue and has no side effect to replay. A candidate is
+    /// skipped without touching functional-unit or memory state while
+    /// `now` is below its `ready_at` (or its memory retry time), and the
+    /// whole stage is skipped while `now < issue_scan_at`, the minimum
+    /// of those bounds. Both derive from immutable completion times and
+    /// an instruction never completes in the cycle it issues, so every
+    /// functional-unit claim and memory access happens on exactly the
+    /// cycle, and in exactly the order, of an exhaustive per-cycle scan
+    /// of the window.
     fn issue(&mut self) {
-        let mut issued = 0;
         let now = self.now;
         if self.cfg.blocking_loads && now < self.issue_blocked_until {
             return;
         }
-        if self.unissued_seqs.is_empty() || now < self.issue_scan_at {
+        if now < self.issue_scan_at {
             return; // provably nothing can issue this cycle
         }
-        // The scan walks only the unissued slots, in program order,
-        // compacting issued entries out of the list in place. Taken out
-        // of `self` for the duration to keep the borrow checker happy.
-        let mut seqs = std::mem::take(&mut self.unissued_seqs);
-        // Rebuilt during the scan; any early exit that leaves unissued
-        // slots unexamined must clamp it to `now + 1`.
+        let in_order = self.cfg.policy == IssuePolicy::InOrder;
+        let end = self.head_seq + self.window.len() as u64;
+        // In order, only the oldest unissued slot may issue; unissued
+        // slots are then exactly the youngest `unissued`.
+        let mut from = if in_order {
+            end - self.unissued as u64
+        } else {
+            self.head_seq
+        };
         let mut next_scan = u64::MAX;
-        let mut keep = 0; // entries [0, keep) stay unissued
-        let mut r = 0;
-        while r < seqs.len() {
+        let mut issued = 0;
+        while let Some(seq) = self.next_candidate(from, end) {
             if issued >= self.cfg.issue_width {
                 next_scan = next_scan.min(now + 1);
                 break;
             }
-            let seq = seqs[r];
+            if in_order && seq != from {
+                // The oldest unissued slot waits on itself (a corrupt
+                // stream): nothing younger may pass it, ever.
+                break;
+            }
+            from = seq + 1;
             let i = (seq - self.head_seq) as usize;
-            if now < self.window[i].wake_at {
-                // Cannot issue yet (bound argument above); skip without
-                // touching dependence or memory state. Flipping satisfied
-                // deps to NO_DEP merely happens later, which no statistic
-                // observes.
-                next_scan = next_scan.min(self.window[i].wake_at);
-                if self.cfg.policy == IssuePolicy::InOrder {
-                    break; // later slots cannot issue before this one
-                }
-                seqs[keep] = seq;
-                keep += 1;
-                r += 1;
-                continue;
+            let slot = &self.window[i];
+            let mut bound = slot.ready_at;
+            if slot.mem_blocked {
+                bound = bound.max(slot.mem_retry_at);
             }
-            let inst = self.window[i].inst;
-            let mut blocked = false;
-
-            let (ready, dep_bound) = self.sources_ready_at(i);
-            if !ready || (self.window[i].mem_blocked && now < self.window[i].mem_retry_at) {
-                blocked = true;
-            } else if let Some(mem) = inst.mem {
-                blocked = !self.try_issue_mem(i, mem, &inst);
-            } else if self.fus.try_issue(inst.op, now) {
-                let slot = &mut self.window[i];
-                slot.issued = true;
-                slot.done_at = now + inst.op.latency(&self.cfg.lat) as u64;
-            } else {
-                blocked = true;
-            }
-
-            if self.window[i].issued {
-                if let Some(t) = self.tracer.as_mut() {
-                    let sb = &mut t.spans[i];
-                    sb.issue = now;
-                    sb.complete = self.window[i].done_at;
+            if now >= bound {
+                let inst = slot.inst;
+                let ok = if let Some(mem) = inst.mem {
+                    self.try_issue_mem(i, mem, &inst)
+                } else if self.fus.try_issue(inst.op, now) {
+                    let slot = &mut self.window[i];
+                    slot.issued = true;
+                    slot.done_at = now + inst.op.latency(&self.cfg.lat) as u64;
+                    true
+                } else {
+                    false
+                };
+                if ok {
+                    self.note_issued(i, seq);
+                    issued += 1;
+                    if self.cfg.blocking_loads && self.issue_blocked_until > now {
+                        next_scan = next_scan.min(now + 1);
+                        break; // a blocking load was just issued
+                    }
+                    continue;
                 }
-                if inst.branch.is_some() {
-                    // An unresolved branch just gained a completion time.
-                    self.resolve_check_at = self.resolve_check_at.min(self.window[i].done_at);
-                }
-                issued += 1;
-                r += 1; // drops this entry from the unissued list
-                if self.cfg.blocking_loads && self.issue_blocked_until > now {
-                    next_scan = next_scan.min(now + 1);
-                    break; // a blocking load was just issued
-                }
-            } else {
-                debug_assert!(blocked);
                 // Memory contention carries its own retry bound; a busy
-                // functional unit (or a structural reject) may clear next
-                // cycle.
-                let slot = &mut self.window[i];
+                // functional unit (or a full memory queue) may clear
+                // next cycle.
+                let slot = &self.window[i];
                 let mem_bound = if slot.mem_blocked {
                     slot.mem_retry_at
                 } else {
                     0
                 };
-                slot.wake_at = dep_bound.max(mem_bound).max(now + 1);
-                next_scan = next_scan.min(slot.wake_at);
-                seqs[keep] = seq;
-                keep += 1;
-                r += 1;
-                if self.cfg.policy == IssuePolicy::InOrder {
-                    break; // strict program-order issue
-                }
+                bound = mem_bound.max(now + 1);
+            }
+            next_scan = next_scan.min(bound);
+            if in_order {
+                break; // strict program-order issue
             }
         }
-        // Close the gap between the compacted prefix and the unexamined
-        // tail left by an early exit.
-        if keep < r {
-            seqs.copy_within(r.., keep);
-        }
-        seqs.truncate(keep + (seqs.len() - r));
-        self.unissued_seqs = seqs;
         self.issue_scan_at = next_scan;
+    }
+
+    /// The oldest candidate with a sequence number in `from..end`.
+    fn next_candidate(&self, mut from: u64, end: u64) -> Option<u64> {
+        while from < end {
+            let p = (from & self.ring_mask) as usize;
+            let bits = self.candidates[p / 64] >> (p % 64);
+            if bits != 0 {
+                let seq = from + bits.trailing_zeros() as u64;
+                return (seq < end).then_some(seq);
+            }
+            from += 64 - (p % 64) as u64;
+        }
+        None
+    }
+
+    fn set_candidate(&mut self, seq: u64, on: bool) {
+        let p = (seq & self.ring_mask) as usize;
+        let bit = 1u64 << (p % 64);
+        if on {
+            self.candidates[p / 64] |= bit;
+        } else {
+            self.candidates[p / 64] &= !bit;
+        }
+    }
+
+    /// Bookkeeping for the slot at window index `i` (sequence `seq`),
+    /// which issued this cycle: walk its consumer list once, handing
+    /// each consumer this result's completion time; those left with no
+    /// unissued producer become candidates. They are younger, so this
+    /// cycle's scan may still reach them, but their `ready_at` lies
+    /// ahead: they only contribute their bound to `issue_scan_at`.
+    fn note_issued(&mut self, i: usize, seq: u64) {
+        self.unissued -= 1;
+        self.set_candidate(seq, false);
+        let done_at = self.window[i].done_at;
+        if let Some(t) = self.tracer.as_mut() {
+            let sb = &mut t.spans[i];
+            sb.issue = self.now;
+            sb.complete = done_at;
+        }
+        if self.window[i].inst.branch.is_some() {
+            // An unresolved branch just gained a completion time.
+            self.resolve_check_at = self.resolve_check_at.min(done_at);
+        }
+        let k = (seq & self.ring_mask) as usize;
+        let mut list = std::mem::take(&mut self.consumers[k]);
+        for &c in &list {
+            let slot = &mut self.window[(c - self.head_seq) as usize];
+            slot.pending -= 1;
+            slot.ready_at = slot.ready_at.max(done_at);
+            if slot.pending == 0 {
+                self.set_candidate(c, true);
+            }
+        }
+        list.clear();
+        self.consumers[k] = list;
     }
 
     /// Issue the memory instruction in window slot `i`. Returns false
@@ -965,17 +962,22 @@ impl Pipeline {
                     });
                 }
             }
-            // Rename: resolve each source register to its producer's
-            // sequence number now, so the issue loop never touches the
-            // register map again for this instruction. The destination
-            // is registered first so a (corrupt, non-SSA) instruction
-            // that reads its own destination still deadlocks against
-            // itself — the watchdog's wedged-model case — exactly as
-            // the issue-time scoreboard lookup did.
-            for (k, r) in inst.srcs.iter().enumerate() {
-                if r.is_some() {
-                    if let Some(pseq) = self.produced.get(r.0) {
-                        slot.src_seqs[k] = pseq;
+            // Rename: an issued producer's completion time bounds this
+            // slot's readiness now; an unissued producer gets this slot
+            // on its consumer list and hands over its completion time
+            // when it issues. The destination is registered first, so
+            // a (corrupt, non-SSA) instruction that reads its own
+            // destination waits on itself forever — the watchdog's
+            // wedged-model case.
+            for r in inst.sources() {
+                let Some(pseq) = self.produced.get(r.0) else {
+                    continue; // the value is architectural
+                };
+                match self.window.get((pseq - self.head_seq) as usize) {
+                    Some(p) if p.issued => slot.ready_at = slot.ready_at.max(p.done_at),
+                    _ => {
+                        slot.pending += 1;
+                        self.consumers[(pseq & self.ring_mask) as usize].push(seq);
                     }
                 }
             }
@@ -1016,19 +1018,26 @@ impl Pipeline {
                             .borrow_mut()
                             .instant(InstantKind::BranchMispredict, inst.pc, 0);
                     }
-                    self.window.push_back(slot);
-                    self.unissued_seqs.push(seq);
-                    self.issue_scan_at = 0;
+                    self.enter_window(seq, slot);
                     // Fetch stalls until this branch resolves.
                     self.fetch_resume_at = u64::MAX;
                     return;
                 }
             }
-            self.window.push_back(slot);
-            self.unissued_seqs.push(seq);
-            self.issue_scan_at = 0;
+            self.enter_window(seq, slot);
             dispatched += 1;
         }
+    }
+
+    /// Append a renamed slot to the window; with every producer issued
+    /// it is a candidate at once.
+    fn enter_window(&mut self, seq: u64, slot: Slot) {
+        if slot.pending == 0 {
+            self.set_candidate(seq, true);
+            self.issue_scan_at = self.issue_scan_at.min(slot.ready_at);
+        }
+        self.unissued += 1;
+        self.window.push_back(slot);
     }
 
     /// Try to hand buffered stores to the L1 (up to one per port per

@@ -544,6 +544,11 @@ fn handle_watch(count: u64, stream: &Mutex<TcpStream>) {
 
 /// Serve one client connection until it closes or asks for shutdown.
 fn handle_conn(stream: TcpStream, daemon_addr: std::net::SocketAddr) {
+    // A reply is several small writes (cell events, then `done`). With
+    // Nagle's algorithm on, each write after the first waits for the
+    // client's delayed ACK of the previous one — ~40 ms per request on
+    // a persistent connection.
+    let _ = stream.set_nodelay(true);
     let reader = match stream.try_clone() {
         Ok(s) => BufReader::new(s),
         Err(_) => return,

@@ -393,3 +393,47 @@ fn bad_requests_get_error_events_not_disconnects() {
     shutdown(&addr, child);
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn warm_cells_on_one_persistent_connection_answer_promptly() {
+    // A client that keeps its connection open must not pay a per-reply
+    // stall: the daemon's reply is several small writes, which Nagle's
+    // algorithm would hold back for the client's delayed ACK (~40 ms).
+    let dir = scratch_dir("persistent");
+    let (child, addr) = spawn_daemon(&dir, &[]);
+    let req = "{\"op\":\"cell\",\"name\":\"fig2\",\"label\":\"conv/base\",\"size\":\"tiny\"}\n";
+    let mut stream = TcpStream::connect(&addr).expect("connect to daemon");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut round_trip = || {
+        let start = Instant::now();
+        stream.write_all(req.as_bytes()).unwrap();
+        let mut line = String::new();
+        loop {
+            line.clear();
+            assert!(reader.read_line(&mut line).unwrap() > 0, "daemon hung up");
+            let event = Json::parse(line.trim()).expect("event parses");
+            if is_done(&event) {
+                assert_eq!(counter(&event, "ok"), 1, "{event:?}");
+                return (start.elapsed(), counter(&event, "hits"));
+            }
+        }
+    };
+    round_trip(); // the cold miss fills the store
+    let mut times: Vec<Duration> = (0..16)
+        .map(|_| {
+            let (t, hits) = round_trip();
+            assert_eq!(hits, 1, "warm requests are store hits");
+            t
+        })
+        .collect();
+    drop(reader);
+    drop(stream);
+    shutdown(&addr, child);
+    std::fs::remove_dir_all(&dir).ok();
+    times.sort();
+    let median = times[times.len() / 2];
+    assert!(
+        median < Duration::from_millis(10),
+        "median warm round trip {median:?} on a persistent connection: {times:?}"
+    );
+}

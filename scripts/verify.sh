@@ -14,6 +14,11 @@ echo "== build (release, offline, workspace) =="
 # lib deps; the visim-bench binaries would stay stale.
 cargo build --release --offline --workspace
 
+echo "== benchmark build check (perfbench, offline) =="
+# perfbench is its own workspace on path dependencies, so the workspace
+# build above cannot see a library change that breaks it.
+cargo check --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 echo "== tests (workspace, offline) =="
 cargo test --workspace --offline -q
 
